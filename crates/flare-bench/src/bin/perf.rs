@@ -12,13 +12,15 @@
 //! changes are expected between machines, simulation-semantics changes
 //! are not. The scenario rows also print as an aligned table.
 //!
-//! `--threads N` reruns every single-collective cell under the
-//! partitioned parallel driver with `N` workers. The cells pick up a
-//! `/parN` name suffix, so such a run never matches (and can never
-//! corrupt) the serial lossless baseline — it measures the parallel
-//! datapath against other `/parN` runs. Traffic cells stay serial (the
-//! engine drives the simulator directly) and are dropped from a
-//! `--threads` run.
+//! `--threads N` reruns every cell under the partitioned parallel driver
+//! with `N` workers. The cells pick up a `/parN` name suffix, so such a
+//! run never matches (and can never corrupt) the serial lossless
+//! baseline — it measures the parallel datapath against other `/parN`
+//! runs.
+//!
+//! Every run also checks each `/parN` cell against its serial twin, when
+//! the matrix holds one (the smoke matrix does for both of its parallel
+//! cells), and exits non-zero if their simulated makespans differ.
 //!
 //! `--trace PATH` additionally captures a lossy multi-tenant run with
 //! telemetry enabled and writes its chrome-trace JSON to PATH — load it
@@ -27,7 +29,8 @@
 //! is written, so CI archiving the file is also a correctness check.
 
 use flare_bench::perf::{
-    diff_against_baseline, dump_trace, matrix, parse_baseline, run, smoke_matrix, to_json,
+    diff_against_baseline, diff_parallel_twins, dump_trace, matrix, parse_baseline, run,
+    smoke_matrix, to_json,
 };
 use flare_bench::table::render;
 
@@ -63,10 +66,6 @@ fn main() {
     let mut scenarios = if smoke { smoke_matrix() } else { matrix() };
     if let Some(n) = threads {
         assert!(n >= 1, "--threads takes an integer >= 1");
-        // Rerun the single-collective cells under the parallel driver;
-        // traffic cells are serial-only, so drop them rather than
-        // silently measuring the wrong datapath under a `/parN` name.
-        scenarios.retain(|s| s.tenants == 0);
         for s in &mut scenarios {
             s.threads = n;
         }
@@ -108,6 +107,24 @@ fn main() {
         let trace = dump_trace();
         std::fs::write(&path, &trace).expect("write trace output");
         eprintln!("wrote {path} ({} bytes, Perfetto-loadable)", trace.len());
+    }
+    let twins = diff_parallel_twins(&rows);
+    if twins.compared > 0 {
+        if twins.drift.is_empty() {
+            eprintln!(
+                "parallel twins: no makespan drift ({} pair(s) compared)",
+                twins.compared
+            );
+        } else {
+            for line in &twins.drift {
+                eprintln!("DRIFT {line}");
+            }
+            eprintln!(
+                "{} parallel cell(s) drifted from their serial twin: the partitioned driver broke determinism",
+                twins.drift.len()
+            );
+            std::process::exit(1);
+        }
     }
     if let Some(path) = baseline_path {
         let doc =

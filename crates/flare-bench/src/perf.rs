@@ -92,7 +92,8 @@ pub struct Scenario {
     /// driver's determinism contract) but their wall numbers measure a
     /// different code path, so they stay out of the serial cells'
     /// lossless baseline match and are tracked against each other
-    /// instead. Ignored by traffic cells (the engine is serial-only).
+    /// instead. Traffic cells hand it to the session, whose engine runs
+    /// every epoch on the same driver.
     pub threads: usize,
     /// Run with fabric telemetry capture enabled
     /// ([`flare_net::TelemetryConfig::default`]). Trace cells carry a
@@ -332,10 +333,10 @@ pub fn matrix() -> Vec<Scenario> {
 /// exercising the multi-core switch-compute model, one traffic-engine
 /// cell churning a few tenants through a shared fat tree, one *lossy*
 /// traffic cell retransmitting a mixed dense/sparse fleet through the
-/// flow-tag namespace, and one parallel-driver cell on 2 workers — all
-/// single repetition. The `/lossN%`, `/hpu`, `/trafficN` and `/parN`
-/// names keep those cells out of the lossless serial-pipeline baseline
-/// comparison.
+/// flow-tag namespace, and a dense and a traffic parallel-driver cell on
+/// 2 workers, each twinning a serial cell — all single repetition. The
+/// `/lossN%`, `/hpu`, `/trafficN` and `/parN` names keep those cells out
+/// of the lossless serial-pipeline baseline comparison.
 pub fn smoke_matrix() -> Vec<Scenario> {
     vec![
         Scenario {
@@ -437,6 +438,20 @@ pub fn smoke_matrix() -> Vec<Scenario> {
             drop_prob: 0.0,
             hpu: false,
             tenants: 0,
+            threads: 2,
+            trace: false,
+        },
+        // The lossless traffic cell on 2 workers: the engine's tenant
+        // churn through the partitioned driver.
+        Scenario {
+            mode: Mode::Dense,
+            topo: TopoKind::FatTree,
+            hosts: 8,
+            bytes_per_host: 32 * 1024,
+            reps: 1,
+            drop_prob: 0.0,
+            hpu: false,
+            tenants: 4,
             threads: 2,
             trace: false,
         },
@@ -580,6 +595,9 @@ fn run_traffic(s: &Scenario) -> Measurement {
             builder = builder
                 .link_drop_prob(s.drop_prob)
                 .retransmit_after(Some(200_000));
+        }
+        if s.threads > 0 {
+            builder = builder.threads(s.threads as u32);
         }
         if s.trace {
             builder = builder.telemetry(TelemetryConfig::default());
@@ -827,6 +845,34 @@ pub fn diff_against_baseline(rows: &[Measurement], baseline: &[BaselineRow]) -> 
                 drift.push(format!(
                     "{name}: makespan {} ns != baseline {} ns",
                     m.makespan_ns, b.makespan_ns
+                ));
+            }
+        }
+    }
+    BaselineDiff { drift, compared }
+}
+
+/// Compare every parallel-driver (`/parN`) row with its serial twin in
+/// the same run: the driver's determinism contract makes their simulated
+/// makespans equal, so any difference is drift. Rows without a twin are
+/// skipped; `compared` counts the pairs checked.
+pub fn diff_parallel_twins(rows: &[Measurement]) -> BaselineDiff {
+    let mut drift = Vec::new();
+    let mut compared = 0;
+    for m in rows.iter().filter(|m| m.scenario.threads > 0) {
+        let twin = Scenario {
+            threads: 0,
+            ..m.scenario
+        }
+        .name();
+        if let Some(serial) = rows.iter().find(|r| r.scenario.name() == twin) {
+            compared += 1;
+            if serial.makespan_ns != m.makespan_ns {
+                drift.push(format!(
+                    "{}: makespan {} ns != serial twin {} ns",
+                    m.scenario.name(),
+                    m.makespan_ns,
+                    serial.makespan_ns
                 ));
             }
         }
@@ -1263,8 +1309,30 @@ mod tests {
     fn smoke_matrix_has_a_parallel_cell() {
         let m = smoke_matrix();
         let par: Vec<&Scenario> = m.iter().filter(|s| s.threads > 0).collect();
-        assert_eq!(par.len(), 1);
+        assert_eq!(par.len(), 2);
         assert_eq!(par[0].name(), "dense/fat_tree/8h/128KiB/par2");
+        assert_eq!(par[1].name(), "dense/fat_tree/8h/32KiB/traffic4/par2");
+        // Both twin a serial smoke cell, so every smoke run checks them.
+        let rows: Vec<Measurement> = m.iter().map(|&s| measurement(s, 7)).collect();
+        assert_eq!(diff_parallel_twins(&rows).compared, 2);
+    }
+
+    #[test]
+    fn parallel_twin_gate_flags_makespan_drift() {
+        let serial = smoke_matrix()
+            .into_iter()
+            .find(|s| s.name() == "dense/fat_tree/8h/32KiB/traffic4")
+            .expect("serial traffic smoke cell");
+        let par = Scenario {
+            threads: 2,
+            ..serial
+        };
+        let same = diff_parallel_twins(&[measurement(serial, 9), measurement(par, 9)]);
+        assert_eq!((same.compared, same.drift.len()), (1, 0));
+        let drifted = diff_parallel_twins(&[measurement(serial, 9), measurement(par, 10)]);
+        assert_eq!(drifted.drift.len(), 1);
+        // A parallel row alone has nothing to compare against.
+        assert_eq!(diff_parallel_twins(&[measurement(par, 9)]).compared, 0);
     }
 
     #[test]
@@ -1416,17 +1484,24 @@ mod tests {
         assert!(a.makespan_ns > 0 && a.events > 0);
         let (p50, p99) = (a.p50_ns.expect("p50"), a.p99_ns.expect("p99"));
         assert!(0 < p50 && p50 <= p99);
-        // Simulated results (not wall time) are bitwise-reproducible.
-        assert_eq!(a.makespan_ns, b.makespan_ns);
-        assert_eq!((a.p50_ns, a.p99_ns), (b.p50_ns, b.p99_ns));
-        assert_eq!(a.total_link_bytes, b.total_link_bytes);
+        // Simulated results (not wall time) are bitwise-reproducible, on
+        // the partitioned driver too.
+        let par = run(&Scenario { threads: 2, ..s });
+        for other in [&b, &par] {
+            assert_eq!(a.makespan_ns, other.makespan_ns);
+            assert_eq!((a.p50_ns, a.p99_ns), (other.p50_ns, other.p99_ns));
+            assert_eq!(a.total_link_bytes, other.total_link_bytes);
+        }
     }
 
     #[test]
     fn smoke_matrix_has_a_traffic_cell() {
         let m = smoke_matrix();
-        let traffic: Vec<&Scenario> = m.iter().filter(|s| s.tenants > 0).collect();
-        assert_eq!(traffic.len(), 2, "one lossless, one lossy");
+        let traffic: Vec<&Scenario> = m
+            .iter()
+            .filter(|s| s.tenants > 0 && s.threads == 0)
+            .collect();
+        assert_eq!(traffic.len(), 2, "one lossless, one lossy, serial");
         assert_eq!(traffic[0].name(), "dense/fat_tree/8h/32KiB/traffic4");
         assert_eq!(traffic[1].name(), "dense/fat_tree/8h/32KiB/traffic4/loss1%");
     }

@@ -41,7 +41,7 @@
 
 use crate::queue::{EventQueue, DEFAULT_PRIO};
 use crate::Time;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 /// A simulator half that runs inside one partition.
@@ -64,9 +64,10 @@ pub trait PartitionSim {
     );
 }
 
-/// One buffered cross-partition event (a lane entry).
+/// One buffered cross-partition event.
 #[derive(Debug)]
 struct Remote<E> {
+    dst: u32,
     time: Time,
     prio: u8,
     seq: u64,
@@ -75,20 +76,22 @@ struct Remote<E> {
 
 /// Per-partition buffer of outbound cross-partition events.
 ///
-/// Events are kept in per-destination *lanes*; a monotone per-source
-/// sequence number records send order so the barrier merge can sort the
-/// union of all sources deterministically.
+/// Events are kept in send order, each tagged with its destination; a
+/// monotone per-source sequence number records that order so the barrier
+/// merge can sort the union of all sources deterministically.
 #[derive(Debug)]
 pub struct Outbox<E> {
-    lanes: Vec<Vec<Remote<E>>>,
+    sent: Vec<Remote<E>>,
+    partitions: u32,
     seq: u64,
 }
 
 impl<E> Outbox<E> {
-    /// An outbox with one lane per destination partition.
+    /// An outbox for a simulation of `partitions` partitions.
     pub fn new(partitions: usize) -> Self {
         Self {
-            lanes: (0..partitions).map(|_| Vec::new()).collect(),
+            sent: Vec::new(),
+            partitions: u32::try_from(partitions).expect("partition count fits in u32"),
             seq: 0,
         }
     }
@@ -102,9 +105,15 @@ impl<E> Outbox<E> {
     /// Buffer `event` for partition `dst` at absolute time `time` with an
     /// explicit priority class.
     pub fn send_prio(&mut self, dst: u32, time: Time, prio: u8, event: E) {
+        assert!(
+            dst < self.partitions,
+            "outbox destination {dst} out of range ({} partitions)",
+            self.partitions
+        );
         let seq = self.seq;
         self.seq += 1;
-        self.lanes[dst as usize].push(Remote {
+        self.sent.push(Remote {
+            dst,
             time,
             prio,
             seq,
@@ -112,14 +121,14 @@ impl<E> Outbox<E> {
         });
     }
 
-    /// Total buffered events across all lanes.
+    /// Total buffered events.
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(Vec::len).sum()
+        self.sent.len()
     }
 
     /// True when no events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(Vec::is_empty)
+        self.sent.is_empty()
     }
 }
 
@@ -137,7 +146,7 @@ pub struct Partition<S: PartitionSim> {
 
 impl<S: PartitionSim> Partition<S> {
     /// Wrap a simulator half and its pre-seeded local queue. `partitions`
-    /// is the total partition count (sizes the outbox lanes).
+    /// is the total partition count (the outbox's destination range).
     pub fn new(sim: S, queue: EventQueue<S::Event>, partitions: usize) -> Self {
         Self {
             sim,
@@ -198,117 +207,113 @@ where
     assert!(!parts.is_empty(), "no partitions");
     let n = parts.len();
     let workers = threads.clamp(1, n);
-    if workers == 1 {
-        return run_windows_serial(parts, lookahead, deadline);
-    }
 
-    // Shared round state. Workers claim whole partitions with a fetch_add
-    // ticket; the per-partition mutexes are therefore uncontended — they
-    // exist to satisfy the borrow checker across the scope, not to
-    // arbitrate access.
+    // Workers claim whole partitions with a fetch_add ticket and the
+    // coordinator merges only between rounds, so the per-partition
+    // mutexes are uncontended — they exist to satisfy the borrow checker
+    // across the scope, not to arbitrate access.
     let slots: Vec<Mutex<&mut Partition<S>>> = parts.iter_mut().map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
-    let window_end = std::sync::atomic::AtomicU64::new(0);
-    let done = std::sync::atomic::AtomicBool::new(false);
-    // Two rendezvous per round: one to publish the window, one to collect.
-    let barrier = Barrier::new(workers + 1);
+    let mut inbox: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
+    // Merge the last window's remotes (none on entry) and return the end
+    // of the next window, which starts at the earliest pending event
+    // anywhere; `None` once nothing is left at or before the deadline.
+    let mut next_window = || {
+        merge_outboxes(&slots, &mut inbox)
+            .filter(|&t| t <= deadline)
+            .map(|t| t.saturating_add(lookahead - 1).min(deadline))
+    };
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                barrier.wait();
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
-                let d = window_end.load(Ordering::Acquire);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+    if workers == 1 {
+        // The same windows and merge, drained on this thread.
+        while let Some(end) = next_window() {
+            for slot in &slots {
+                slot.lock().expect("partition lock").drain_window(end);
+            }
+        }
+    } else {
+        let next = AtomicUsize::new(0);
+        let window_end = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        // Two rendezvous per round: one to publish the window, one to
+        // collect.
+        let barrier = Barrier::new(workers + 1);
+
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    barrier.wait();
+                    if done.load(Ordering::Acquire) {
                         break;
                     }
-                    slots[i].lock().expect("partition lock").drain_window(d);
-                }
-                barrier.wait();
-            });
-        }
-
-        loop {
-            // Next window start: the earliest pending event anywhere.
-            let t_min = slots
-                .iter()
-                .filter_map(|s| s.lock().expect("partition lock").queue.peek_time())
-                .min();
-            let stop = match t_min {
-                None => true,
-                Some(t) => t > deadline,
-            };
-            if stop {
-                done.store(true, Ordering::Release);
-                barrier.wait(); // release workers into shutdown
-                break;
+                    let d = window_end.load(Ordering::Acquire);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        slots[i].lock().expect("partition lock").drain_window(d);
+                    }
+                    barrier.wait();
+                });
             }
-            let t = t_min.expect("checked above");
-            window_end.store(
-                t.saturating_add(lookahead - 1).min(deadline),
-                Ordering::Release,
-            );
-            next.store(0, Ordering::Relaxed);
-            barrier.wait(); // start the round
-            barrier.wait(); // all partitions drained
-            merge_outboxes(&slots);
-        }
-    });
 
-    parts.iter().map(|p| p.last).max().unwrap_or(0)
-}
-
-/// The `workers == 1` driver: same windows, same merge, no threads.
-fn run_windows_serial<S: PartitionSim>(
-    parts: &mut [Partition<S>],
-    lookahead: Time,
-    deadline: Time,
-) -> Time {
-    while let Some(t) = parts.iter().filter_map(|p| p.queue.peek_time()).min() {
-        if t > deadline {
-            break;
-        }
-        let end = t.saturating_add(lookahead - 1).min(deadline);
-        for p in parts.iter_mut() {
-            p.drain_window(end);
-        }
-        let slots: Vec<Mutex<&mut Partition<S>>> = parts.iter_mut().map(Mutex::new).collect();
-        merge_outboxes(&slots);
+            while let Some(end) = next_window() {
+                window_end.store(end, Ordering::Release);
+                next.store(0, Ordering::Relaxed);
+                barrier.wait(); // start the round
+                barrier.wait(); // all partitions drained
+            }
+            done.store(true, Ordering::Release);
+            barrier.wait(); // release workers into shutdown
+        });
     }
+
+    drop(slots);
     parts.iter().map(|p| p.last).max().unwrap_or(0)
 }
+
+/// `(time, prio, src_partition, seq)`: the barrier merge's total order.
+type MergeKey = (Time, u8, u32, u64);
 
 /// Move every buffered cross-partition event into its destination queue,
-/// in `(time, prio, src_partition, seq)` order.
+/// in `(time, prio, src_partition, seq)` order, and return the earliest
+/// pending event time anywhere afterwards.
 ///
-/// Called between rounds, when no worker holds a lock. Remote events at a
-/// `(time, prio)` already populated locally land *after* the local events
-/// (the queue assigns later insertion sequence numbers), which is part of
-/// the documented tie-break.
-fn merge_outboxes<S: PartitionSim>(slots: &[Mutex<&mut Partition<S>>]) {
-    let n = slots.len();
-    let mut incoming: Vec<(Time, u8, u32, u64, S::Event)> = Vec::new();
-    for dst in 0..n {
-        incoming.clear();
-        for (src, slot) in slots.iter().enumerate() {
-            let mut p = slot.lock().expect("partition lock");
-            for r in p.outbox.lanes[dst].drain(..) {
-                incoming.push((r.time, r.prio, src as u32, r.seq, r.event));
-            }
+/// Called between rounds, when no worker holds a lock. Each source is
+/// locked once to drain its outbox into `inbox` (one per destination,
+/// kept across windows so a steady-state merge allocates nothing), and
+/// each destination with incoming events once to schedule them:
+/// O(partitions + events) per window. Remote events at a `(time, prio)`
+/// already populated locally land *after* the local events (the queue
+/// assigns later insertion sequence numbers), which is part of the
+/// documented tie-break.
+fn merge_outboxes<S: PartitionSim>(
+    slots: &[Mutex<&mut Partition<S>>],
+    inbox: &mut [Vec<(MergeKey, S::Event)>],
+) -> Option<Time> {
+    let mut t_min = None;
+    let mut earliest = |t: Time| t_min = Some(t_min.map_or(t, |m: Time| m.min(t)));
+    for (src, slot) in slots.iter().enumerate() {
+        let mut p = slot.lock().expect("partition lock");
+        if let Some(t) = p.queue.peek_time() {
+            earliest(t);
         }
+        for r in p.outbox.sent.drain(..) {
+            inbox[r.dst as usize].push(((r.time, r.prio, src as u32, r.seq), r.event));
+        }
+    }
+    for (dst, incoming) in inbox.iter_mut().enumerate() {
         if incoming.is_empty() {
             continue;
         }
-        incoming.sort_by_key(|&(t, prio, src, seq, _)| (t, prio, src, seq));
+        incoming.sort_unstable_by_key(|&(key, _)| key);
+        earliest(incoming[0].0 .0);
         let mut p = slots[dst].lock().expect("partition lock");
-        for (t, prio, _, _, ev) in incoming.drain(..) {
+        for ((t, prio, _, _), ev) in incoming.drain(..) {
             p.queue.schedule_at_prio(t, prio, ev);
         }
     }
+    t_min
 }
 
 #[cfg(test)]

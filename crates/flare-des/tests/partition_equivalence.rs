@@ -215,19 +215,22 @@ fn check_equivalence(parts: u32, ops: &[Op]) {
 #[test]
 fn lookahead_boundary_sends_match_serial() {
     // Every hop lands exactly on the window boundary (slack 0) — the
-    // adversarial case for a conservative driver.
-    let ops: Vec<Op> = (0..8)
-        .map(|i| Op {
-            src: i % 4,
-            time: (i as Time) * 3,
-            ttl: 6,
-            stride: 1 + (i % 3),
-            slack: 0,
-            fanout: 1,
-            payload: 1000 + i as u64,
-        })
-        .collect();
-    check_equivalence(4, &ops);
+    // adversarial case for a conservative driver. The 64- and
+    // 257-partition runs give the barrier merge fleet-like widths.
+    for parts in [4u32, 64, 257] {
+        let ops: Vec<Op> = (0..2 * parts)
+            .map(|i| Op {
+                src: i % parts,
+                time: (i as Time) * 3,
+                ttl: 6,
+                stride: 1 + (i % 3),
+                slack: 0,
+                fanout: 1,
+                payload: 1000 + i as u64,
+            })
+            .collect();
+        check_equivalence(parts, &ops);
+    }
 }
 
 #[test]
@@ -246,6 +249,34 @@ fn equal_timestamp_cross_partition_fanouts_match_serial() {
         })
         .collect();
     check_equivalence(6, &ops);
+
+    // 39 sources of 40 partitions each send a fan-out to partition 0 at
+    // t = LOOKAHEAD with the default priority: the merge must order
+    // one destination's same-`(time, prio)` inbox by source and sequence.
+    let parts = 40u32;
+    let ops: Vec<Op> = (1..parts)
+        .map(|i| Op {
+            src: i,
+            time: 0,
+            ttl: 2,
+            stride: parts - i,
+            slack: 0,
+            fanout: 2,
+            payload: 11 * u64::from(i),
+        })
+        .collect();
+    check_equivalence(parts, &ops);
+    let (lanes, _) = run_partitioned(parts, &ops, 2);
+    let fan_in: Vec<u64> = lanes[0]
+        .log
+        .iter()
+        .filter(|&&(t, _)| t == LOOKAHEAD)
+        .map(|&(_, payload)| payload)
+        .collect();
+    let want: Vec<u64> = (1..parts)
+        .flat_map(|i| [11 * u64::from(i) * 31 + 7; 2])
+        .collect();
+    assert_eq!(fan_in, want, "fan-in merged out of (src, seq) order");
 }
 
 #[test]
@@ -269,11 +300,16 @@ fn single_partition_degenerate_matches_serial() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Random adversarial schedules: random partition counts, boundary and
+    // Random adversarial schedules: random partition counts (small, plus
+    // fleet-like widths for the barrier merge), boundary and
     // near-boundary sends, same-instant seeds, mixed fan-outs.
     #[test]
     fn random_schedules_match_serial_and_are_thread_invariant(
-        parts in 1u32..6,
+        parts in (1u32..8).prop_map(|k| match k {
+            6 => 64,
+            7 => 257,
+            k => k,
+        }),
         raw in proptest::collection::vec(
             (
                 (

@@ -7,8 +7,6 @@
 //! hops, so a flow always follows one path and delivery within a flow is
 //! ordered).
 
-use std::collections::VecDeque;
-
 use flare_des::rng::splitmix64;
 use flare_des::Time;
 
@@ -230,37 +228,108 @@ impl Topology {
             .map(|i| PortId(i as u16))
     }
 
-    /// Compute destination-based routing: `next_port[node][dest]` = egress
-    /// port, selecting among equal-cost next hops by `hash(flow)`.
+    /// Compute destination-based routing: the candidate egress ports at
+    /// `node` towards `dest` are every port whose peer is one hop closer
+    /// to `dest`, and `hash(flow)` picks one of them.
     pub fn build_routing(&self) -> Routing {
         let n = self.node_count();
-        let mut next_hops: Vec<Vec<Vec<u16>>> = vec![vec![Vec::new(); n]; n];
-        // BFS from every destination over the undirected graph.
-        for dest in 0..n {
-            let mut dist = vec![u32::MAX; n];
-            dist[dest] = 0;
-            let mut q = VecDeque::from([dest]);
-            while let Some(u) = q.pop_front() {
-                for pl in &self.ports[u] {
-                    let v = pl.peer.index();
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        q.push_back(v);
-                    }
+        assert!(
+            n < usize::from(u16::MAX),
+            "routing supports fewer than {} nodes",
+            u16::MAX
+        );
+        let dist = self.hop_distances();
+        let mut routing = Routing {
+            nodes: n,
+            spans: Vec::with_capacity(n * n),
+            ports: Vec::new(),
+        };
+        // Port-major, node by node: bit `pi % 64` of `masks[(pi / 64) * n
+        // + dest]` is set when port `pi` leads one hop closer to `dest`.
+        // Hop distance is symmetric, so the peer's distances to every
+        // destination are one row of `dist`, read sequentially.
+        let mut masks: Vec<u64> = Vec::new();
+        for u in 0..n {
+            let own = &dist[u * n..][..n];
+            let words = self.ports[u].len().div_ceil(64).max(1);
+            masks.clear();
+            masks.resize(words * n, 0);
+            for (pi, pl) in self.ports[u].iter().enumerate() {
+                let peer = &dist[pl.peer.index() * n..][..n];
+                let shift = pi % 64;
+                let row = &mut masks[(pi / 64) * n..][..n];
+                for ((mask, &d_peer), &d_own) in row.iter_mut().zip(peer).zip(own) {
+                    // Unreachable is `u16::MAX` on both sides, and
+                    // `u16::MAX + 1` wraps to 0, which no unreachable
+                    // `d_own` equals.
+                    *mask |= u64::from(d_peer.wrapping_add(1) == d_own) << shift;
                 }
             }
-            for u in 0..n {
-                if u == dest || dist[u] == u32::MAX {
-                    continue;
-                }
-                for (pi, pl) in self.ports[u].iter().enumerate() {
-                    if dist[pl.peer.index()] + 1 == dist[u] {
-                        next_hops[u][dest].push(pi as u16);
+            // One stored list per run of equal candidate sets.
+            let set = &masks;
+            let mask = |dest: usize| (0..words).map(move |w| set[w * n + dest]);
+            let mut span = (0, 0);
+            for dest in 0..n {
+                if dest == 0 || !mask(dest).eq(mask(dest - 1)) {
+                    let start = routing.ports.len();
+                    for (w, bits) in mask(dest).enumerate() {
+                        routing
+                            .ports
+                            .extend(set_bits(bits).map(|b| (w * 64 + b) as u16));
                     }
+                    let len = routing.ports.len() - start;
+                    span = (
+                        u32::try_from(start).expect("routing table size"),
+                        len as u32,
+                    );
                 }
+                routing.spans.push(span);
             }
         }
-        Routing { next_hops }
+        routing
+    }
+
+    /// Hop distances between every pair of nodes, `dist[u * n + v]`
+    /// (`u16::MAX` when unreachable), from a breadth-first search out of
+    /// every node at once: level by level, `reached[v]` holds one bit per
+    /// source that has reached `v`, and `frontier[v]` those that first
+    /// reached it at the last level.
+    fn hop_distances(&self) -> Vec<u16> {
+        let n = self.node_count();
+        let words = n.div_ceil(64);
+        let mut dist = vec![u16::MAX; n * n];
+        let mut reached = vec![0u64; n * words];
+        for v in 0..n {
+            dist[v * n + v] = 0;
+            reached[v * words + v / 64] |= 1 << (v % 64);
+        }
+        let mut frontier = reached.clone();
+        let mut next = vec![0u64; n * words];
+        for level in 1.. {
+            let mut grew = false;
+            for v in 0..n {
+                let row = &mut next[v * words..][..words];
+                row.fill(0);
+                for pl in &self.ports[v] {
+                    let peer = &frontier[pl.peer.index() * words..][..words];
+                    row.iter_mut().zip(peer).for_each(|(a, &b)| *a |= b);
+                }
+                let seen = &mut reached[v * words..][..words];
+                for (w, (new, old)) in row.iter_mut().zip(seen).enumerate() {
+                    *new &= !*old;
+                    *old |= *new;
+                    grew |= *new != 0;
+                    for b in set_bits(*new) {
+                        dist[v * n + w * 64 + b] = level;
+                    }
+                }
+            }
+            if !grew {
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        dist
     }
 
     /// Build the paper's Figure 15 network: a 2-level fat tree with
@@ -325,6 +394,17 @@ impl Topology {
     }
 }
 
+/// Indices of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
 /// Node inventory of a generated fat tree.
 #[derive(Debug, Clone)]
 pub struct FatTree {
@@ -346,18 +426,32 @@ impl FatTree {
 }
 
 /// Destination-based next-hop tables with deterministic ECMP.
+///
+/// Every candidate list lives in one flat port array; a `(start, len)`
+/// span per `(node, dest)` locates it. Consecutive destinations with the
+/// same list share one copy: a leaf's list towards every remote host is
+/// the same set of uplinks, so a fat tree stores a few lists per node
+/// instead of one per node pair.
 #[derive(Debug, Clone)]
 pub struct Routing {
-    /// `next_hops[node][dest]` = candidate egress ports (equal cost).
-    next_hops: Vec<Vec<Vec<u16>>>,
+    nodes: usize,
+    /// `spans[node * nodes + dest]` = `(start, len)` into `ports`.
+    spans: Vec<(u32, u32)>,
+    /// Candidate egress ports (equal cost), concatenated.
+    ports: Vec<u16>,
 }
 
 impl Routing {
+    fn candidates(&self, node: NodeId, dest: NodeId) -> &[u16] {
+        let (start, len) = self.spans[node.index() * self.nodes + dest.index()];
+        &self.ports[start as usize..][..len as usize]
+    }
+
     /// Egress port at `node` towards `dest` for `flow` (ECMP by flow hash).
     ///
     /// Returns `None` when `node == dest` or `dest` is unreachable.
     pub fn next_port(&self, node: NodeId, dest: NodeId, flow: u32) -> Option<PortId> {
-        let cands = &self.next_hops[node.index()][dest.index()];
+        let cands = self.candidates(node, dest);
         if cands.is_empty() {
             return None;
         }
@@ -367,13 +461,14 @@ impl Routing {
 
     /// Number of equal-cost choices at `node` towards `dest`.
     pub fn ecmp_width(&self, node: NodeId, dest: NodeId) -> usize {
-        self.next_hops[node.index()][dest.index()].len()
+        self.candidates(node, dest).len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn link_serialization_time_is_size_over_bandwidth() {
@@ -435,6 +530,104 @@ mod tests {
         let (topo, _, hosts) = Topology::star(2, LinkSpec::hundred_gig());
         let routing = topo.build_routing();
         assert!(routing.next_port(hosts[0], hosts[0], 0).is_none());
+    }
+
+    /// The nested-`Vec` table the flat [`Routing`] replaced, kept as the
+    /// reference it must agree with: one BFS per destination, one
+    /// candidate list per `(node, dest)`.
+    struct NestedRouting {
+        next_hops: Vec<Vec<Vec<u16>>>,
+    }
+
+    impl NestedRouting {
+        fn build(topo: &Topology) -> Self {
+            let n = topo.node_count();
+            let mut next_hops: Vec<Vec<Vec<u16>>> = vec![vec![Vec::new(); n]; n];
+            for dest in 0..n {
+                let mut dist = vec![u32::MAX; n];
+                dist[dest] = 0;
+                let mut q = VecDeque::from([dest]);
+                while let Some(u) = q.pop_front() {
+                    for pl in &topo.ports[u] {
+                        let v = pl.peer.index();
+                        if dist[v] == u32::MAX {
+                            dist[v] = dist[u] + 1;
+                            q.push_back(v);
+                        }
+                    }
+                }
+                for u in 0..n {
+                    if u == dest || dist[u] == u32::MAX {
+                        continue;
+                    }
+                    for (pi, pl) in topo.ports[u].iter().enumerate() {
+                        if dist[pl.peer.index()] + 1 == dist[u] {
+                            next_hops[u][dest].push(pi as u16);
+                        }
+                    }
+                }
+            }
+            Self { next_hops }
+        }
+
+        fn next_port(&self, node: NodeId, dest: NodeId, flow: u32) -> Option<PortId> {
+            let cands = &self.next_hops[node.index()][dest.index()];
+            if cands.is_empty() {
+                return None;
+            }
+            let pick = (splitmix64(flow as u64) % cands.len() as u64) as usize;
+            Some(PortId(cands[pick]))
+        }
+
+        fn ecmp_width(&self, node: NodeId, dest: NodeId) -> usize {
+            self.next_hops[node.index()][dest.index()].len()
+        }
+    }
+
+    fn assert_routes_match_reference(topo: &Topology) {
+        let want = NestedRouting::build(topo);
+        let got = topo.build_routing();
+        let nodes = || (0..topo.node_count() as u32).map(NodeId);
+        for node in nodes() {
+            for dest in nodes() {
+                assert_eq!(
+                    got.ecmp_width(node, dest),
+                    want.ecmp_width(node, dest),
+                    "ecmp width {node:?} -> {dest:?}"
+                );
+                for flow in 0..8 {
+                    assert_eq!(
+                        got.next_port(node, dest, flow),
+                        want.next_port(node, dest, flow),
+                        "next port {node:?} -> {dest:?}, flow {flow}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_routing_matches_the_nested_reference() {
+        let spec = LinkSpec::hundred_gig();
+        // (4, 2, 2) is the small tree of the tests above, (16, 8, 16) a
+        // 128-host tree, (3, 70, 5) has leaves of more than 64 ports.
+        for (leaves, per_leaf, spines) in [(4, 2, 2), (16, 8, 16), (3, 70, 5)] {
+            let (topo, _) = Topology::fat_tree_two_level(leaves, per_leaf, spines, spec);
+            assert_routes_match_reference(&topo);
+        }
+        assert_routes_match_reference(&Topology::star(5, spec).0);
+        // A star plus a detached host pair and an isolated host: every
+        // route into or out of another component is `None`.
+        let (mut topo, _, _) = Topology::star(3, spec);
+        let a = topo.add_host("a");
+        let b = topo.add_host("b");
+        topo.connect(a, b, spec);
+        let island = topo.add_host("island");
+        let routing = topo.build_routing();
+        assert_eq!(routing.ecmp_width(a, island), 0);
+        assert!(routing.next_port(NodeId(0), a, 0).is_none());
+        assert!(routing.next_port(a, b, 0).is_some());
+        assert_routes_match_reference(&topo);
     }
 
     #[test]
